@@ -33,7 +33,6 @@
 #include "core/baselines.hpp"
 #include "core/exact.hpp"
 #include "core/layered.hpp"
-#include "graph/oracle.hpp"
 #include "serve/driver.hpp"
 #include "serve/http.hpp"
 #include "serve/trace.hpp"
@@ -127,11 +126,6 @@ int main(int argc, char** argv) {
       .define("pipeline", "mvcc",
               "commit pipeline: mvcc (replica sync + stamp validation + "
               "group commit) or mutex (legacy full-copy baseline)")
-      .define("oracle", "off",
-              "goal-directed path queries in the workers: off, or alt "
-              "(epoch-keyed ALT landmark oracle over the workload network; "
-              "identical results, pruned searches; flat algorithms only)")
-      .define_int("landmarks", 16, "ALT landmark budget for --oracle=alt")
       .define_int("metrics-port", 0,
                   "serve GET /metrics (Prometheus) and /metrics.json on "
                   "127.0.0.1:<port> for the duration of the run; 0 disables")
@@ -202,17 +196,6 @@ int main(int argc, char** argv) {
 
   SignalPoller poller;
   if (tracing.enabled) poller.start();
-
-  const std::string oracle_mode = flags.get("oracle");
-  if (oracle_mode != "off" && oracle_mode != "alt") {
-    std::cerr << "unknown oracle '" << oracle_mode << "' (off|alt)\n";
-    return 1;
-  }
-  if (oracle_mode == "alt" && flags.get("algorithm") == "hier") {
-    std::cerr << "--oracle=alt applies to the flat service only; the "
-                 "sharded plane runs its own per-region summaries\n";
-    return 1;
-  }
 
   // --- sharded mode: --algorithm hier routes through the shard plane ------
   if (flags.get("algorithm") == "hier") {
@@ -364,20 +347,6 @@ int main(int argc, char** argv) {
   // lives in `endpoint` out here so it serves for the whole run).
   serve::ServiceTuning tuning;
   tuning.slow_solve_threshold = flags.get_duration("slow-solve-threshold");
-  // Optional ALT oracle: one immutable table set over the workload's
-  // (static) topology, shared read-only by every worker. Results are
-  // bit-identical to --oracle=off.
-  std::unique_ptr<graph::DistanceOracle> oracle;
-  if (oracle_mode == "alt") {
-    graph::DistanceOracle::Options oopts;
-    oopts.landmarks = static_cast<std::size_t>(flags.get_int("landmarks"));
-    oracle = std::make_unique<graph::DistanceOracle>(
-        workload.scenario.network.topology(), oopts);
-    tuning.distance_oracle = oracle.get();
-    std::cerr << "oracle: alt, " << oracle->num_landmarks() << " landmarks"
-              << (oracle->active() ? "" : " (inactive: disconnected topology)")
-              << "\n";
-  }
   const std::string pipeline_name = flags.get("pipeline");
   if (pipeline_name == "mutex") {
     tuning.pipeline = serve::CommitPipeline::kMutex;

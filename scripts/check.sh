@@ -26,12 +26,7 @@
 # 8-thread cross-shard commit battery and the per-shard worker pools,
 # whose multi-mutex ascending-lock commits are exactly what TSan's
 # lock-order analysis is for.
-# An eighth pass runs the distance-oracle suite (ctest -R 'oracle') under
-# both trees: ASan/UBSan for the bank indexing and the differential
-# battery's workspace reuse, TSan because the oracle is shared immutable
-# across the serve worker pool — every query() walks the same bank the
-# build path last wrote, exactly the publish/consume edge TSan checks.
-# A ninth pass runs the observability plane (ctest -R
+# An eighth pass runs the observability plane (ctest -R
 # 'lifecycle|flight|http') under both trees: ASan/UBSan for the span-ring
 # index arithmetic and the HTTP error paths, TSan because the span ring is
 # the one deliberately lock-free single-writer/any-reader structure in the
@@ -40,7 +35,9 @@
 # survive.
 # Every full pass also runs the flat-vs-reference search differential suite
 # (test_search_flat), so the bit-identity contract of the CSR/workspace
-# tier is checked under ASan/UBSan as well as in the plain build.
+# tier — the batched multi-source/multi-target kernels and the pruned
+# Steiner DP included — is checked under ASan/UBSan as well as in the plain
+# build.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -74,6 +71,7 @@ require_test() {
 
 run_pass "${BUILD_DIR:-build-asan}" "" -DDAGSFC_SANITIZE=ON
 require_test "${BUILD_DIR:-build-asan}" 'test_search_flat'
+require_test "${BUILD_DIR:-build-asan}" 'test_search_flat.Batched'
 require_test "${BUILD_DIR:-build-asan}" 'test_metrics'
 require_test "${BUILD_DIR:-build-asan}" 'test_watchdog'
 require_test "${BUILD_DIR:-build-asan}" 'test_layered'
@@ -107,13 +105,6 @@ require_test "${BUILD_DIR:-build-asan}" 'test_shard'
 require_test "${TSAN_BUILD_DIR:-build-tsan}" 'test_shard'
 ctest --test-dir "${TSAN_BUILD_DIR:-build-tsan}" --output-on-failure \
   -j "$(nproc)" -R 'shard'
-# Oracle pass: the epoch-keyed ALT oracle suite under both sanitizer trees
-# (the ASan tree already ran it in the full first pass; the guards keep it
-# from silently dropping out of either build).
-require_test "${BUILD_DIR:-build-asan}" 'test_distance_oracle'
-require_test "${TSAN_BUILD_DIR:-build-tsan}" 'test_distance_oracle'
-ctest --test-dir "${TSAN_BUILD_DIR:-build-tsan}" --output-on-failure \
-  -j "$(nproc)" -R 'oracle'
 # Observability pass: request-lifecycle tracing + flight recorder + HTTP
 # endpoint suites under both trees. The ASan tree already ran them in the
 # full first pass; the guards keep all three suites pinned in both builds,

@@ -1,7 +1,5 @@
 #include "core/path_oracle.hpp"
 
-#include "graph/oracle.hpp"
-
 namespace dagsfc::core {
 
 const graph::EdgeMask* PathOracle::usable_mask() {
@@ -32,11 +30,6 @@ const graph::EdgeMask* PathOracle::effective_mask() {
   return mask_full_ ? nullptr : mask;
 }
 
-const graph::DistanceOracle* PathOracle::pruning_oracle() const {
-  const graph::DistanceOracle* o = ws_->distance_oracle();
-  return (o != nullptr && o->matches(*g_)) ? o : nullptr;
-}
-
 std::shared_ptr<const graph::ShortestPathTree> PathOracle::tree(
     NodeId source) {
   if (!flat_) {
@@ -60,17 +53,7 @@ std::optional<graph::Path> PathOracle::min_cost_path(NodeId a, NodeId b) {
   if (ledger_->path_cache()) return tree(a)->path_to(b);
   ++counters_.dijkstra_calls;
   if (!flat_) return graph::min_cost_path(*g_, a, b, usable_);
-  const graph::EdgeMask* mask = effective_mask();
-  if (const graph::DistanceOracle* o = pruning_oracle()) {
-    graph::PruneStats stats;
-    graph::AltQuery alt = o->query(a, b, /*seed_upper_bound=*/mask == nullptr);
-    alt.stats = &stats;
-    auto path = graph::min_cost_path(*g_, a, b, *ws_, mask, alt);
-    counters_.oracle_tested += stats.tested;
-    counters_.oracle_pruned += stats.pruned;
-    return path;
-  }
-  return graph::min_cost_path(*g_, a, b, *ws_, mask);
+  return graph::min_cost_path(*g_, a, b, *ws_, effective_mask());
 }
 
 std::vector<std::optional<graph::Path>> PathOracle::min_cost_paths(
@@ -113,16 +96,6 @@ std::vector<graph::Path> PathOracle::k_shortest(NodeId a, NodeId b,
     return *cache->k_paths(*g_, a, b, k, context(), mask, *ws_, counters_);
   }
   ++counters_.yen_calls;
-  if (const graph::DistanceOracle* o = pruning_oracle()) {
-    const graph::EdgeMask* eff = effective_mask();
-    graph::PruneStats stats;
-    graph::AltQuery alt = o->query(a, b, /*seed_upper_bound=*/eff == nullptr);
-    alt.stats = &stats;
-    auto paths = graph::k_shortest_paths(*g_, a, b, k, eff, *ws_, alt);
-    counters_.oracle_tested += stats.tested;
-    counters_.oracle_pruned += stats.pruned;
-    return paths;
-  }
   return graph::k_shortest_paths(*g_, a, b, k, mask, *ws_);
 }
 
@@ -134,16 +107,6 @@ std::vector<graph::Path> PathOracle::k_shortest_filtered(
   // every spur Dijkstra included — probes bits instead of the closure.
   filtered_mask_.fill_from(*g_, filter);
   const graph::EdgeMask mask = filtered_mask_.view();
-  if (const graph::DistanceOracle* o = pruning_oracle()) {
-    // Always masked here, so never seed the landmark upper bound.
-    graph::PruneStats stats;
-    graph::AltQuery alt = o->query(a, b, /*seed_upper_bound=*/false);
-    alt.stats = &stats;
-    auto paths = graph::k_shortest_paths(*g_, a, b, k, &mask, *ws_, alt);
-    counters_.oracle_tested += stats.tested;
-    counters_.oracle_pruned += stats.pruned;
-    return paths;
-  }
   return graph::k_shortest_paths(*g_, a, b, k, &mask, *ws_);
 }
 

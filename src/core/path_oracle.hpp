@@ -125,15 +125,9 @@ class PathOracle {
   [[nodiscard]] const graph::EdgeMask* usable_mask();
 
   /// usable_mask(), except it returns nullptr when no edge is currently
-  /// masked out — the kernels then skip the per-arc bit test, and (more
-  /// importantly) a goal-directed query may seed its landmark upper bound,
-  /// which is only valid unmasked. Same admissible edge set either way.
+  /// masked out — the kernels then skip the per-arc bit test. Same
+  /// admissible edge set either way.
   [[nodiscard]] const graph::EdgeMask* effective_mask();
-
-  /// The attached DistanceOracle if it may prune queries on g_ right now
-  /// (matches() gate: same graph, active, revisions current); null
-  /// otherwise. Stale or absent oracles degrade to unpruned searches.
-  [[nodiscard]] const graph::DistanceOracle* pruning_oracle() const;
 
   const graph::Graph* g_;
   const net::CapacityLedger* ledger_;

@@ -66,82 +66,6 @@ void run_flat(const Graph& g, NodeId source, SearchWorkspace& ws,
   }
 }
 
-/// run_flat with ALT pruning toward stop_at. The loop is run_flat's, plus a
-/// guard: candidates whose settled-or-tentative cost d plus the landmark
-/// lower bound lb(v) = max_l |d(l,t) − d(l,v)| exceeds prune_guard(ub) are
-/// skipped — a pop skips the row scan, a relaxation skips the write and
-/// push. ub starts at alt.seed_ub (kInfCost when unseeded) and tightens to
-/// the best tentative distance of stop_at each time it improves.
-///
-/// Why the surviving run is bitwise identical to run_flat's:
-///   * Nothing is reordered. Keys, pushes, and the (key, node) pop order
-///     are untouched; pruning only removes entries, and the relative order
-///     of the survivors is the order run_flat would pop them in.
-///   * The target's final parent chain survives intact. For any node w on
-///     the eventual chain, its final write has value D(s,w) and
-///     lb(w) ≤ d(w,t) ≤ (chain cost w→t), so value + lb(w) ≤ dist(t) ≤ ub
-///     at every moment (ub is always ≥ the true distance D(t)); the 1e-9
-///     relative slack in prune_guard absorbs the ulp-level difference
-///     between the chain's summed doubles and the bound arithmetic. The
-///     same holds for the pops expanding those writes.
-///   * Dropped work stays dropped. The bound is consistent
-///     (|lb(v) − lb(w)| ≤ w(v,w)), so every write derived from a pruned
-///     candidate would itself fail the test — a pruned subtree cannot
-///     resurface and influence a surviving slot.
-/// Together: identical pops and writes along everything that can reach the
-/// target at optimal cost, so extract_path(ws, stop_at) — nodes, edges, and
-/// the summed cost — matches the unpruned kernel bit for bit (the
-/// differential battery in tests/test_distance_oracle.cpp checks this over
-/// every embedder).
-template <typename Allow>
-void run_flat_alt(const Graph& g, NodeId source, SearchWorkspace& ws,
-                  const Allow& allow, NodeId stop_at, const AltQuery& alt) {
-  DAGSFC_CHECK(g.has_node(source) && g.has_node(stop_at));
-  DAGSFC_ASSERT(stop_at == alt.target);
-  const CsrView csr = g.csr();
-  const std::uint32_t* const off = csr.offsets.data();
-  const Incidence* const inc = csr.incidence.data();
-  const double* const wt = csr.weights.data();
-  ws.prepare(g);
-  ws.start(source);
-  double guard = prune_guard(alt.seed_ub);  // inf-safe: stays +inf unseeded
-  std::uint64_t tested = 0;
-  std::uint64_t pruned = 0;
-  while (!ws.heap_empty()) {
-    const auto [d, v] = ws.heap_pop();
-    if (d > ws.dist_unchecked(v)) continue;  // stale entry
-    if (v == stop_at) break;
-    ++tested;
-    if (d + alt.lower_bound(v) > guard) {
-      ++pruned;
-      continue;
-    }
-    const std::uint32_t row_end = off[v + 1];
-    for (std::uint32_t s = off[v]; s != row_end; ++s) {
-      const Incidence in = inc[s];
-      if (!allow(in.edge)) continue;
-      const double nd = d + wt[s];
-      if (nd < ws.dist_if_live(in.neighbor)) {
-        ++tested;
-        if (nd + alt.lower_bound(in.neighbor) > guard) {
-          ++pruned;
-          continue;
-        }
-        ws.relax(in.neighbor, nd, v, in.edge);
-        ws.heap_push(nd, in.neighbor);
-        if (in.neighbor == stop_at) {
-          const double tightened = prune_guard(nd);
-          if (tightened < guard) guard = tightened;
-        }
-      }
-    }
-  }
-  if (alt.stats != nullptr) {
-    alt.stats->tested += tested;
-    alt.stats->pruned += pruned;
-  }
-}
-
 }  // namespace
 
 void dijkstra_into(const Graph& g, NodeId source, SearchWorkspace& ws,
@@ -200,39 +124,6 @@ std::optional<Path> min_cost_path(const Graph& g, NodeId source, NodeId target,
                                   SearchWorkspace& ws, const EdgeMask* mask) {
   DAGSFC_CHECK(g.has_node(target));
   dijkstra_into(g, source, ws, mask, target);
-  return extract_path(ws, target);
-}
-
-void dijkstra_into(const Graph& g, NodeId source, SearchWorkspace& ws,
-                   const EdgeMask* mask, NodeId stop_at, const AltQuery& alt) {
-  if (alt.active == 0 && alt.seed_ub == kInfCost) {
-    // Nothing to prune with — run the plain kernel (same results either
-    // way; this just skips the per-candidate bound arithmetic).
-    dijkstra_into(g, source, ws, mask, stop_at);
-    return;
-  }
-  // A landmark-routed upper bound is the cost of a real path that may use
-  // masked edges — seeding it under a mask would prune valid routes. The
-  // exception is a caller-declared threshold seed (alt.threshold): the
-  // caller promises to discard any result costlier than the seed, so
-  // over-pruning beyond it is unobservable (see AltQuery::seed_ub).
-  DAGSFC_CHECK(mask == nullptr || alt.seed_ub == kInfCost || alt.threshold);
-  if (mask == nullptr) {
-    run_flat_alt(
-        g, source, ws, [](EdgeId) { return true; }, stop_at, alt);
-  } else {
-    DAGSFC_ASSERT(mask->num_edges() >= g.num_edges());
-    const EdgeMask m = *mask;
-    run_flat_alt(
-        g, source, ws, [m](EdgeId e) { return m.allows(e); }, stop_at, alt);
-  }
-}
-
-std::optional<Path> min_cost_path(const Graph& g, NodeId source, NodeId target,
-                                  SearchWorkspace& ws, const EdgeMask* mask,
-                                  const AltQuery& alt) {
-  DAGSFC_CHECK(g.has_node(target));
-  dijkstra_into(g, source, ws, mask, target, alt);
   return extract_path(ws, target);
 }
 

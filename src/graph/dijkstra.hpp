@@ -21,7 +21,6 @@
 #include <span>
 #include <vector>
 
-#include "graph/alt_query.hpp"
 #include "graph/edge_mask.hpp"
 #include "graph/graph.hpp"
 #include "graph/workspace.hpp"
@@ -75,34 +74,12 @@ void dijkstra_into(const Graph& g, NodeId source, SearchWorkspace& ws,
                                                 SearchWorkspace& ws,
                                                 const EdgeMask* mask = nullptr);
 
-// --- goal-directed tier (ALT pruning, see oracle.hpp) --------------------
-
-/// Dijkstra with ALT pruning toward \p stop_at (required; must equal
-/// alt.target). Same pop order, same relaxations, minus the ones the
-/// landmark lower bound proves cannot lie on any path at most as cheap as
-/// the best known route to the target — so the settled region around the
-/// target, its distance and its parent chain are bitwise identical to the
-/// unpruned kernel's (proof sketch above run_flat_alt in dijkstra.cpp).
-/// alt.seed_ub must be kInfCost when \p mask is non-null: a landmark-routed
-/// upper bound may use masked edges. An inactive alt (active == 0) falls
-/// back to the plain kernel.
-void dijkstra_into(const Graph& g, NodeId source, SearchWorkspace& ws,
-                   const EdgeMask* mask, NodeId stop_at, const AltQuery& alt);
-
-/// Point-to-point query through the pruned kernel.
-[[nodiscard]] std::optional<Path> min_cost_path(const Graph& g, NodeId source,
-                                                NodeId target,
-                                                SearchWorkspace& ws,
-                                                const EdgeMask* mask,
-                                                const AltQuery& alt);
-
 // --- batched tier --------------------------------------------------------
 
 /// One prepared pass that runs |sources| independent SSSPs over a layered
-/// state space (state = layer·|V| + node) — the Steiner base case and the
-/// shard plane's border-to-border summaries do this today as k separate
-/// searches, each paying its own prepare, mask capture, and cold CSR
-/// streams. Layers run back to back over one slot bank, so the heap's
+/// state space (state = layer·|V| + node) — the Steiner base case would
+/// otherwise run k separate searches, each paying its own prepare, mask
+/// capture, and cold CSR streams. Layers run back to back over one slot bank, so the heap's
 /// working set stays standalone-sized while the incidence/weight arrays and
 /// the mask stay hot across layers. Layer i's results are bitwise identical
 /// to a standalone dijkstra_into(g, sources[i], ws, mask): its loop is the

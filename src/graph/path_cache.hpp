@@ -67,12 +67,6 @@ struct PathQueryCounters {
   std::size_t cache_hits = 0;
   std::size_t cache_misses = 0;
   std::size_t evictions = 0;
-  // ALT-oracle pruning work (goal-directed searches only): how many
-  // prune tests the kernels evaluated and how many fired. Their ratio is
-  // exported as dagsfc_oracle_pruned_ratio; both stay 0 with no oracle
-  // attached.
-  std::size_t oracle_tested = 0;
-  std::size_t oracle_pruned = 0;
 
   PathQueryCounters& operator+=(const PathQueryCounters& o) {
     dijkstra_calls += o.dijkstra_calls;
@@ -82,8 +76,6 @@ struct PathQueryCounters {
     cache_hits += o.cache_hits;
     cache_misses += o.cache_misses;
     evictions += o.evictions;
-    oracle_tested += o.oracle_tested;
-    oracle_pruned += o.oracle_pruned;
     return *this;
   }
 

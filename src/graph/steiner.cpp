@@ -31,12 +31,21 @@ constexpr std::uint32_t how_payload(std::uint64_t h) {
   return static_cast<std::uint32_t>(h);
 }
 
+/// The float-safety guard pruning compares against: a candidate is dropped
+/// only when value + fut exceeds UB by more than a 1e-9 relative slack. The
+/// slack absorbs the last-ulp rounding differences between the bound
+/// arithmetic (base-case distance sums) and the DP's own chained additions —
+/// accumulated double error is ~1e-13 relative, orders of magnitude under
+/// the slack — so a write the unpruned run needs can never be dropped, which
+/// is load-bearing for bit-identity.
+constexpr double prune_guard(double ub) noexcept { return ub + ub * 1e-9; }
+
 }  // namespace
 
 // The seed Dreyfus–Wagner DP (see reference.cpp) with two accelerations on
 // top of the flat kernels; both leave the returned tree bit-identical to
 // the seed's (checked by the cross-kernel battery in
-// tests/test_distance_oracle.cpp):
+// tests/test_search_flat.cpp):
 //
 //   1. Batched base case. The k single-terminal rows dp[{i}][·] used to be
 //      k independent Dijkstra exhaustions; they are now one

@@ -40,8 +40,6 @@
 
 namespace dagsfc::graph {
 
-class DistanceOracle;
-
 /// Process-wide switch between the flat search kernels (CSR + workspace +
 /// edge mask; the default) and the preserved seed implementations in
 /// graph::reference. Exists for the differential tests and before/after
@@ -230,23 +228,6 @@ class SearchWorkspace {
   std::vector<double>& scratch_f64() noexcept { return scratch_f64_; }
   std::vector<std::uint64_t>& scratch_u64() noexcept { return scratch_u64_; }
 
-  // --- distance oracle attachment ---------------------------------------
-  // An optional per-workspace pointer to a DistanceOracle (oracle.hpp). The
-  // workspace is the one object already threaded through every search
-  // consumer (PathOracle, the embedders, the serve workers), so attaching
-  // the oracle here lets all of them opt into goal-directed pruning without
-  // touching a single solver signature. Null (the default) means every
-  // search runs the plain kernels — the pre-oracle code paths, bit for bit.
-  // Consumers gate each use on oracle->matches(graph), so a stale or
-  // wrong-graph pointer degrades to "no pruning", never to wrong paths.
-
-  void set_distance_oracle(const DistanceOracle* oracle) noexcept {
-    oracle_ = oracle;
-  }
-  [[nodiscard]] const DistanceOracle* distance_oracle() const noexcept {
-    return oracle_;
-  }
-
   // --- test hooks --------------------------------------------------------
 
   [[nodiscard]] std::uint32_t generation() const noexcept {
@@ -313,8 +294,6 @@ class SearchWorkspace {
   std::vector<NodeId> scratch_nodes_;
   std::vector<double> scratch_f64_;
   std::vector<std::uint64_t> scratch_u64_;
-
-  const DistanceOracle* oracle_ = nullptr;
 };
 
 }  // namespace dagsfc::graph

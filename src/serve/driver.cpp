@@ -11,21 +11,6 @@ namespace dagsfc::serve {
 
 namespace {
 
-double exponential(Rng& rng, double mean) {
-  return -mean * std::log(1.0 - rng.uniform_real(0.0, 1.0));
-}
-
-/// Virtual departure: ordered by time, ties broken by request id so the
-/// release order is total and reproducible.
-struct Departure {
-  double at = 0.0;
-  RequestId id = 0;
-
-  bool operator>(const Departure& other) const {
-    return at != other.at ? at > other.at : id > other.id;
-  }
-};
-
 bool residuals_nominal(const net::CapacityLedger& ledger,
                        const net::Network& net) {
   for (graph::EdgeId e = 0; e < net.num_links(); ++e) {
@@ -51,7 +36,7 @@ Workload make_workload(const sim::DynamicConfig& cfg, std::uint64_t seed) {
   w.arrivals.reserve(cfg.num_arrivals);
   double now = 0.0;
   for (std::size_t i = 0; i < cfg.num_arrivals; ++i) {
-    now += exponential(rng, 1.0 / cfg.arrival_rate);
+    now += rng.exponential(1.0 / cfg.arrival_rate);
     TimedRequest t;
     t.at = now;
     sfc::DagSfc dag =
@@ -61,7 +46,7 @@ Workload make_workload(const sim::DynamicConfig& cfg, std::uint64_t seed) {
     if (dst == src) {
       dst = static_cast<graph::NodeId>((dst + 1) % cfg.base.network_size);
     }
-    t.holding = exponential(rng, cfg.mean_holding_time);
+    t.holding = rng.exponential(cfg.mean_holding_time);
     t.request.id = static_cast<RequestId>(i + 1);
     t.request.sfc = std::move(dag);
     t.request.flow =
@@ -83,7 +68,6 @@ DriverResult run_closed_loop(const Workload& workload,
   opts.pipeline = tuning.pipeline;
   opts.slow_solve_threshold = tuning.slow_solve_threshold;
   opts.watchdog_period = tuning.watchdog_period;
-  opts.distance_oracle = tuning.distance_oracle;
   opts.tracing = tuning.tracing;
   EmbeddingService service(workload.scenario.network, embedder, opts);
   if (tuning.on_start) tuning.on_start(service);
@@ -132,7 +116,6 @@ OpenLoopResult run_open_loop(const Workload& workload,
   opts.pipeline = cfg.tuning.pipeline;
   opts.slow_solve_threshold = cfg.tuning.slow_solve_threshold;
   opts.watchdog_period = cfg.tuning.watchdog_period;
-  opts.distance_oracle = cfg.tuning.distance_oracle;
   opts.tracing = cfg.tuning.tracing;
   EmbeddingService service(workload.scenario.network, embedder, opts);
   if (cfg.tuning.on_start) cfg.tuning.on_start(service);

@@ -37,6 +37,17 @@ struct TimedRequest {
   Request request;
 };
 
+/// Virtual departure for the closed-loop drivers: ordered by time, ties
+/// broken by request id so the release order is total and reproducible.
+struct Departure {
+  double at = 0.0;
+  RequestId id = 0;
+
+  bool operator>(const Departure& other) const {
+    return at != other.at ? at > other.at : id > other.id;
+  }
+};
+
 /// A reproducible serving workload: the scenario (network) plus the
 /// arrival schedule. The network must outlive any service solving into it.
 struct Workload {
@@ -59,10 +70,6 @@ struct ServiceTuning {
   /// Commit machinery of the service under test; kMutex is the legacy
   /// baseline the bench A/Bs against.
   CommitPipeline pipeline = CommitPipeline::kMvcc;
-  /// Forwarded to EmbeddingService::Options::distance_oracle: an ALT oracle
-  /// over the workload's network topology, attached to every worker's
-  /// search workspace. Caller-owned; must outlive the run. Null = off.
-  const graph::DistanceOracle* distance_oracle = nullptr;
   /// Forwarded to EmbeddingService::Options::tracing — request-lifecycle
   /// spans + tail-sampled flight recorder. Reach the recorders through the
   /// service in on_start/on_finish.

@@ -1,30 +1,11 @@
 #include "shard/driver.hpp"
 
-#include <cmath>
 #include <deque>
 #include <queue>
 #include <thread>
 #include <utility>
 
 namespace dagsfc::shard {
-
-namespace {
-
-double exponential(Rng& rng, double mean) {
-  return -mean * std::log(1.0 - rng.uniform_real(0.0, 1.0));
-}
-
-/// Virtual departure, ordered by (time, id) like the flat driver's.
-struct Departure {
-  double at = 0.0;
-  serve::RequestId id = 0;
-
-  bool operator>(const Departure& other) const {
-    return at != other.at ? at > other.at : id > other.id;
-  }
-};
-
-}  // namespace
 
 void ShardWorkloadConfig::validate() const {
   regional.validate();
@@ -42,7 +23,7 @@ ShardWorkload make_shard_workload(const ShardWorkloadConfig& cfg,
   w.arrivals.reserve(cfg.num_arrivals);
   double now = 0.0;
   for (std::size_t i = 0; i < cfg.num_arrivals; ++i) {
-    now += exponential(rng, 1.0 / cfg.arrival_rate);
+    now += rng.exponential(1.0 / cfg.arrival_rate);
     serve::TimedRequest t;
     t.at = now;
     sfc::DagSfc dag =
@@ -50,7 +31,7 @@ ShardWorkload make_shard_workload(const ShardWorkloadConfig& cfg,
     auto src = static_cast<graph::NodeId>(rng.index(n));
     auto dst = static_cast<graph::NodeId>(rng.index(n));
     if (dst == src) dst = static_cast<graph::NodeId>((dst + 1) % n);
-    t.holding = exponential(rng, cfg.mean_holding_time);
+    t.holding = rng.exponential(cfg.mean_holding_time);
     t.request.id = static_cast<serve::RequestId>(i + 1);
     t.request.sfc = std::move(dag);
     t.request.flow = core::Flow{src, dst, cfg.regional.base.flow_rate,
@@ -69,7 +50,8 @@ ShardDriverResult run_sharded_closed_loop(
   ShardedEmbeddingService service(substrate, options);
   if (tuning.on_start) tuning.on_start(service);
 
-  std::priority_queue<Departure, std::vector<Departure>, std::greater<>>
+  std::priority_queue<serve::Departure, std::vector<serve::Departure>,
+                      std::greater<>>
       departures;
   ShardDriverResult result;
 
@@ -80,7 +62,7 @@ ShardDriverResult run_sharded_closed_loop(
     }
     const serve::Response resp = service.submit(t.request).get();
     if (resp.accepted()) {
-      departures.push(Departure{t.at + t.holding, t.request.id});
+      departures.push(serve::Departure{t.at + t.holding, t.request.id});
     }
     result.simulated_time = t.at;
   }

@@ -1,6 +1,5 @@
 #include "sim/dynamic.hpp"
 
-#include <cmath>
 #include <queue>
 
 namespace dagsfc::sim {
@@ -13,11 +12,6 @@ void DynamicConfig::validate() const {
 }
 
 namespace {
-
-double exponential(Rng& rng, double mean) {
-  // Inverse CDF; uniform_real is in [0,1), so the argument of log stays > 0.
-  return -mean * std::log(1.0 - rng.uniform_real(0.0, 1.0));
-}
 
 /// A flow in service: departure time plus everything needed to release it.
 struct InService {
@@ -55,7 +49,7 @@ DynamicResult run_dynamic(const DynamicConfig& cfg,
 
   graph::SearchWorkspace ws;  // warm buffers across arrivals
   for (std::size_t arrival = 0; arrival < cfg.num_arrivals; ++arrival) {
-    now += exponential(rng, 1.0 / cfg.arrival_rate);
+    now += rng.exponential(1.0 / cfg.arrival_rate);
     release_up_to(now);
     result.concurrency.add(static_cast<double>(in_service.size()));
 
@@ -78,7 +72,7 @@ DynamicResult run_dynamic(const DynamicConfig& cfg,
     // (MINV/BBE/MBBE) see bit-identical arrival streams — paired
     // comparisons. RANV necessarily perturbs the stream by drawing inside
     // solve().
-    const double holding = exponential(rng, cfg.mean_holding_time);
+    const double holding = rng.exponential(cfg.mean_holding_time);
 
     const core::SolveResult r = embedder.solve(index, ledger, rng, nullptr,
                                                &ws);

@@ -61,6 +61,11 @@ double Rng::uniform_real(double lo, double hi) {
   return lo + u * (hi - lo);
 }
 
+double Rng::exponential(double mean) {
+  // uniform_real is in [0,1), so the argument of log stays > 0.
+  return -mean * std::log(1.0 - uniform_real(0.0, 1.0));
+}
+
 bool Rng::bernoulli(double p) {
   if (p <= 0.0) return false;
   if (p >= 1.0) return true;

@@ -47,6 +47,10 @@ class Rng {
   /// True with probability p (clamped to [0,1]).
   [[nodiscard]] bool bernoulli(double p);
 
+  /// Exponentially distributed real with the given mean (inverse CDF over
+  /// one uniform_real draw) — inter-arrival and holding times.
+  [[nodiscard]] double exponential(double mean);
+
   /// Uniformly chosen element of \p v. Requires non-empty.
   template <typename T>
   [[nodiscard]] const T& pick(const std::vector<T>& v) {

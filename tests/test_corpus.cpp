@@ -25,6 +25,13 @@ struct Golden {
   double exact_cost;        // < 0 ⇒ exact expected to refuse/fail
 };
 
+// Without this, gtest prints the parameter as a raw byte dump that starts
+// with the string's heap pointer, so every process gets a different test
+// name from discovery and name-based test selection cannot match it.
+void PrintTo(const Golden& g, std::ostream* os) {
+  *os << '"' << g.name << '"';
+}
+
 std::string slurp(const std::string& path) {
   std::ifstream in(path);
   if (!in) throw std::runtime_error("missing corpus file " + path);

@@ -3,7 +3,8 @@
 /// integration, and the differential harness required by the cache's core
 /// contract — every embedder produces bit-identical solutions with the
 /// cache on and off, across the serialized corpus and 200 random seeded
-/// instances.
+/// instances. Also pins PathOracle::min_cost_paths, the batched fan-out
+/// the cache-off path runs, to its per-target answers.
 
 #include <gtest/gtest.h>
 
@@ -15,8 +16,10 @@
 #include "core/baselines.hpp"
 #include "core/exact.hpp"
 #include "core/layered.hpp"
+#include "core/path_oracle.hpp"
 #include "core/validator.hpp"
 #include "graph/path_cache.hpp"
+#include "graph/workspace.hpp"
 #include "net/io.hpp"
 #include "sfc/io.hpp"
 #include "sim/scenario.hpp"
@@ -474,6 +477,43 @@ TEST(LedgerPathCache, CachingReducesDijkstraComputations) {
   expect_identical(on, off);
   EXPECT_GT(on.path_queries.cache_hits, 0u);
   EXPECT_LT(on.path_queries.dijkstra_calls, off.path_queries.dijkstra_calls);
+}
+
+// ---------------------------------------------------------------------------
+// PathOracle-level batching: min_cost_paths == per-target queries, with one
+// dijkstra_call for the whole fan-out.
+
+/// Pins the process-wide search-tier switch for one test and restores it.
+struct FlagGuard {
+  bool saved = graph::flat_search_default();
+  ~FlagGuard() { graph::set_flat_search_default(saved); }
+};
+
+void expect_same_opt_path(const std::optional<graph::Path>& a,
+                          const std::optional<graph::Path>& b) {
+  ASSERT_EQ(a.has_value(), b.has_value());
+  if (a) expect_same_path(*a, *b);
+}
+
+TEST(Batched, PathOracleMinCostPathsMatchesPerTarget) {
+  const FlagGuard guard;
+  graph::set_flat_search_default(true);
+  auto fx = test::canonical_fixture();
+  net::CapacityLedger ledger(fx->network);
+  ledger.set_cache_enabled(false);
+  graph::SearchWorkspace ws;
+  core::PathOracle batched(fx->network.topology(), ledger, 1.0, &ws);
+  core::PathOracle single(fx->network.topology(), ledger, 1.0);
+
+  const std::vector<graph::NodeId> targets{4, 2, 4, 0, 5};
+  const auto got = batched.min_cost_paths(0, targets);
+  ASSERT_EQ(got.size(), targets.size());
+  for (std::size_t i = 0; i < targets.size(); ++i) {
+    expect_same_opt_path(got[i], single.min_cost_path(0, targets[i]));
+  }
+  // One batched pass, not |targets| early-exit runs.
+  EXPECT_EQ(batched.counters().dijkstra_calls, 1u);
+  EXPECT_EQ(single.counters().dijkstra_calls, targets.size());
 }
 
 }  // namespace

@@ -104,6 +104,28 @@ TEST(Rng, BernoulliFrequency) {
   EXPECT_NEAR(static_cast<double>(hits) / n, 0.3, 0.01);
 }
 
+TEST(Rng, ExponentialIsPositiveWithTheRequestedMean) {
+  Rng r(31);
+  double sum = 0.0;
+  const int n = 50000;
+  for (int i = 0; i < n; ++i) {
+    const double x = r.exponential(2.5);
+    EXPECT_GE(x, 0.0);
+    sum += x;
+  }
+  EXPECT_NEAR(sum / n, 2.5, 0.05);
+}
+
+TEST(Rng, ExponentialConsumesOneUniformDraw) {
+  // The serve/shard/dynamic workload generators interleave exponential
+  // draws with other draws on one stream; each must cost exactly one.
+  Rng a(37);
+  Rng b(37);
+  (void)a.exponential(1.0);
+  (void)b.uniform_real(0.0, 1.0);
+  EXPECT_EQ(a(), b());
+}
+
 TEST(Rng, IndexBoundsAndEmptyRejected) {
   Rng r(31);
   for (int i = 0; i < 100; ++i) EXPECT_LT(r.index(5), 5u);

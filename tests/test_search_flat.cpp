@@ -5,12 +5,18 @@
 /// embedder's end-to-end SolveResult. Mirrors tests/test_path_cache.cpp,
 /// which establishes the same contract for the cache layer.
 ///
+/// The Batched suite holds the batched tier to the same contract: one
+/// multi-source layered pass equals k standalone runs, one multi-target
+/// pass equals per-target early-exit runs, and the batched + future-cost
+/// pruned Steiner DP equals the seed DP under random masks.
+///
 /// Also pins the CSR determinism contract (row order == insertion order)
 /// and exercises the lazy concurrent CSR build; the Csr suite runs under
 /// ThreadSanitizer in scripts/check.sh.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <fstream>
 #include <sstream>
 #include <thread>
@@ -194,6 +200,84 @@ TEST(FlatPrimitives, SteinerMatchesReferenceExactly) {
     if (ref_open) {
       EXPECT_EQ(ref_open->cost, flat_open->cost);
       EXPECT_EQ(ref_open->edges, flat_open->edges);
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Batched tier: one heap pass == k standalone passes, bitwise.
+
+TEST(Batched, MultiSourceEqualsStandaloneRuns) {
+  graph::SearchWorkspace batch_ws, solo_ws;
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const graph::Graph g = random_weighted_graph(40, 4.0, seed);
+    Rng rng(seed * 7);
+    const AllowSet set(g, rng);
+    // Duplicate source on purpose: layers are independent even then.
+    const std::vector<graph::NodeId> sources{0, 13, 7, 13, 29, 1};
+    for (const graph::EdgeMask* mask : {(const graph::EdgeMask*)nullptr,
+                                        &set.view}) {
+      graph::multi_source_dijkstra_into(g, sources, batch_ws, mask);
+      const graph::MultiSourceView bank(batch_ws, g, sources.size());
+      ASSERT_EQ(bank.num_layers(), sources.size());
+      for (std::size_t layer = 0; layer < sources.size(); ++layer) {
+        graph::dijkstra_into(g, sources[layer], solo_ws, mask);
+        const auto solo = graph::export_tree(solo_ws, g.num_nodes());
+        for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
+          EXPECT_EQ(bank.reached(layer, v), solo.reached(v));
+          EXPECT_EQ(bank.dist(layer, v), solo.dist[v]);
+          EXPECT_EQ(bank.parent(layer, v), solo.parent[v]);
+          EXPECT_EQ(bank.parent_edge(layer, v), solo.parent_edge[v]);
+        }
+      }
+    }
+  }
+}
+
+TEST(Batched, MultiTargetEqualsEarlyExitRuns) {
+  graph::SearchWorkspace batch_ws, solo_ws;
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    graph::Graph g = random_weighted_graph(40, 4.0, seed);
+    const graph::NodeId isolated = g.add_node();  // guaranteed unreachable
+    Rng rng(seed * 19);
+    const AllowSet set(g, rng);
+    // Duplicates and the source itself are both legal targets.
+    const std::vector<graph::NodeId> targets{5, 22, 5, 0, 31, isolated};
+    for (const graph::EdgeMask* mask : {(const graph::EdgeMask*)nullptr,
+                                        &set.view}) {
+      graph::dijkstra_into_targets(g, 0, targets, batch_ws, mask);
+      for (const graph::NodeId t : targets) {
+        expect_same_opt_path(graph::extract_path(batch_ws, t),
+                             graph::min_cost_path(g, 0, t, solo_ws, mask));
+      }
+    }
+  }
+}
+
+TEST(Batched, SteinerMatchesReferenceUnderMasks) {
+  graph::SearchWorkspace ws;
+  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const graph::Graph g = random_weighted_graph(24, 3.5, seed);
+    Rng rng(seed * 131);
+    const AllowSet set(g, rng);
+    for (std::size_t k = 1; k <= 5; ++k) {
+      std::vector<graph::NodeId> terms;
+      for (std::size_t i = 0; i < k; ++i) {
+        terms.push_back(static_cast<graph::NodeId>(rng.index(g.num_nodes())));
+      }
+      const auto flat = graph::steiner_tree(g, terms, &set.view, ws);
+      const auto ref = graph::reference::steiner_tree(g, terms, set.filter());
+      ASSERT_EQ(flat.has_value(), ref.has_value());
+      if (!flat) continue;
+      EXPECT_EQ(flat->cost, ref->cost);  // bit-identical, not approximate
+      auto fe = flat->edges;
+      auto re = ref->edges;
+      std::sort(fe.begin(), fe.end());
+      std::sort(re.begin(), re.end());
+      EXPECT_EQ(fe, re);
     }
   }
 }
