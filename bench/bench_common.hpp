@@ -14,7 +14,6 @@
 
 #include "core/backtracking.hpp"
 #include "core/baselines.hpp"
-#include "graph/workspace.hpp"
 #include "net/ledger.hpp"
 #include "sim/sweep.hpp"
 #include "util/flags.hpp"
@@ -56,9 +55,6 @@ inline std::unique_ptr<BenchSetup> setup(int argc, const char* const* argv,
       .define_bool("no-bbe", false, "exclude plain BBE from the comparison")
       .define_bool("no-path-cache", false,
                    "disable the epoch-keyed shortest-path cache (A/B timing)")
-      .define_bool("reference-search", false,
-                   "route searches through the frozen seed implementations "
-                   "instead of the CSR/workspace tier (A/B timing)")
       .define_bool("trace", false,
                    "collect structured solve traces and report the aggregate "
                    "counts in the JSON line")
@@ -80,7 +76,6 @@ inline std::unique_ptr<BenchSetup> setup(int argc, const char* const* argv,
   s->csv = s->flags.get_bool("csv");
   s->with_bbe = !s->flags.get_bool("no-bbe");
   net::CapacityLedger::set_cache_default(!s->flags.get_bool("no-path-cache"));
-  graph::set_flat_search_default(!s->flags.get_bool("reference-search"));
 
   s->ranv = std::make_unique<core::RanvEmbedder>();
   s->minv = std::make_unique<core::MinvEmbedder>();

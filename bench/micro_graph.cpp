@@ -29,10 +29,10 @@
 #include <vector>
 
 #include "graph/dijkstra.hpp"
-#include "graph/reference.hpp"
 #include "graph/steiner.hpp"
 #include "graph/workspace.hpp"
 #include "graph/yen.hpp"
+#include "oracles/reference.hpp"
 #include "sim/scenario.hpp"
 #include "util/flags.hpp"
 #include "util/timer.hpp"

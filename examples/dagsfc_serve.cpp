@@ -31,7 +31,6 @@
 
 #include "core/backtracking.hpp"
 #include "core/baselines.hpp"
-#include "core/exact.hpp"
 #include "core/layered.hpp"
 #include "serve/driver.hpp"
 #include "serve/http.hpp"
@@ -114,7 +113,7 @@ int main(int argc, char** argv) {
       .define_bool("closed-loop", false,
                    "run the deterministic closed-loop driver instead")
       .define("algorithm", "mbbe",
-              "worker solver: ranv|minv|bbe|mbbe|exact|layered, or hier "
+              "worker solver: ranv|minv|bbe|mbbe|layered, or hier "
               "(sharded service, one worker pool per shard)")
       .define_int("shards", 4, "regions of the sharded substrate (hier)")
       .define("partition", "labels",
@@ -331,13 +330,11 @@ int main(int argc, char** argv) {
     algo = std::make_unique<core::BbeEmbedder>();
   } else if (algo_name == "mbbe") {
     algo = std::make_unique<core::MbbeEmbedder>();
-  } else if (algo_name == "exact") {
-    algo = std::make_unique<core::ExactEmbedder>();
   } else if (algo_name == "layered") {
     algo = std::make_unique<core::LayeredEmbedder>();
   } else {
     std::cerr << "unknown algorithm '" << algo_name
-              << "' (ranv|minv|bbe|mbbe|exact|layered)\n";
+              << "' (ranv|minv|bbe|mbbe|layered)\n";
     return 1;
   }
   const core::Embedder& embedder = *algo;

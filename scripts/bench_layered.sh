@@ -1,10 +1,12 @@
 #!/usr/bin/env bash
 # Regenerates BENCH_layered_gap.json: builds the bench tree in Release and
 # runs the layered-vs-greedy cost-gap suite (bench/layered_vs_greedy.cpp).
-# Instances are sized so the exact solver runs on every one; the recorded
-# JSON therefore carries, per workload shape, the heuristics' cost gap
-# relative to LAYERED, the wall-clock means, and how many instances
-# LAYERED matched EXACT bitwise on the machine that produced it.
+# Instances are sized so LAYERED, the exact engine, runs on every one; the
+# recorded JSON therefore carries, per workload shape, the heuristics' cost
+# gap relative to LAYERED and the wall-clock means on the machine that
+# produced it. (The committed file predates this: its `exact` columns and
+# `exact_bitwise_matches` counts measured the EXACT per-layer DP, which is
+# now a test-only oracle in tests/oracles/.)
 #
 # Usage: scripts/bench_layered.sh [extra bench_layered_vs_greedy flags...]
 # The build directory defaults to build-bench/ (override with BUILD_DIR).

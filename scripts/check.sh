@@ -33,11 +33,15 @@
 # repo — the concurrent collect() battery and the tail-sampling promotion
 # path are exactly what its relaxed-store/acquire-load discipline must
 # survive.
-# Every full pass also runs the flat-vs-reference search differential suite
-# (test_search_flat), so the bit-identity contract of the CSR/workspace
-# tier — the batched multi-source/multi-target kernels and the pruned
-# Steiner DP included — is checked under ASan/UBSan as well as in the plain
-# build.
+# Every full pass also runs the search differential suite (test_search_flat)
+# and links the test-only oracle library (tests/oracles/), so the
+# bit-identity contract of the CSR/workspace tier is checked under ASan/UBSan
+# as well as in the plain build: the kernels — the batched
+# multi-source/multi-target passes and the pruned Steiner DP included —
+# against the frozen seed kernels in tests/oracles/, and every embedder
+# against the SolveResult digests recorded from those kernels. The first
+# pass also builds with -DDAGSFC_WERROR=ON, so a new compiler warning fails
+# the run.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -69,9 +73,14 @@ require_test() {
   fi
 }
 
-run_pass "${BUILD_DIR:-build-asan}" "" -DDAGSFC_SANITIZE=ON
+run_pass "${BUILD_DIR:-build-asan}" "" -DDAGSFC_SANITIZE=ON -DDAGSFC_WERROR=ON
 require_test "${BUILD_DIR:-build-asan}" 'test_search_flat'
 require_test "${BUILD_DIR:-build-asan}" 'test_search_flat.Batched'
+# The oracle library's two halves: the EXACT DP's own suite and the
+# embedder digest suite that the recorded seed-kernel output pins.
+require_test "${BUILD_DIR:-build-asan}" 'test_exact'
+require_test "${BUILD_DIR:-build-asan}" 'FlatCorpusDifferential'
+require_test "${BUILD_DIR:-build-asan}" 'FlatDifferential.TwoHundredRandom'
 require_test "${BUILD_DIR:-build-asan}" 'test_metrics'
 require_test "${BUILD_DIR:-build-asan}" 'test_watchdog'
 require_test "${BUILD_DIR:-build-asan}" 'test_layered'

@@ -8,7 +8,7 @@
 #   scripts/trace_demo.sh [instance] [algorithm]
 #
 # defaults to ring12 / mbbe; any tests/corpus/<instance>.{net,sfc}.txt pair
-# and any of ranv|minv|bbe|mbbe|exact work.
+# and any of ranv|minv|bbe|mbbe|layered work.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

@@ -156,29 +156,6 @@ struct LayeredRun {
     return from_merger[l];
   }
 
-  /// The exact solver's work estimate, verbatim — the parallel gadget runs
-  /// the identical enumeration per settled boundary state, so the same
-  /// budget keeps the same instances out.
-  [[nodiscard]] bool too_large(std::size_t max_work) const {
-    double work = 0.0;
-    std::size_t prev_ends = 1;
-    for (std::size_t l = 0; l < omega; ++l) {
-      const sfc::Layer& layer = dag.layer(l);
-      double assignments = 1.0;
-      for (VnfTypeId t : layer.vnfs) {
-        assignments *= static_cast<double>(
-            std::max<std::size_t>(1, net.nodes_with(t).size()));
-      }
-      const std::size_t ends = layer.has_merger()
-                                   ? net.nodes_with(catalog.merger()).size()
-                                   : net.nodes_with(layer.vnfs[0]).size();
-      work += static_cast<double>(prev_ends) * assignments;
-      prev_ends = std::max<std::size_t>(1, ends);
-      if (work > static_cast<double>(max_work)) return true;
-    }
-    return false;
-  }
-
   /// Shared tail: validate, capacity-check, and price the reconstructed
   /// solution — the same post-hoc sequence the exact solver runs.
   void finish(SolveResult& result, EmbeddingSolution sol) {
@@ -272,8 +249,9 @@ SolveResult solve_scalar(LayeredRun& run, graph::SearchWorkspace& sw,
       }
 
       // Parallel layer l: fire the gadget at boundary node v with final
-      // cost d. Arithmetic mirrors ExactEmbedder's transition term by term
-      // so equal decisions produce bit-equal intermediate values.
+      // cost d. Arithmetic mirrors the EXACT DP's transition
+      // (tests/oracles/exact.cpp) term by term so equal decisions produce
+      // bit-equal intermediate values.
       const sfc::Layer& layer = run.dag.layer(l);
       const auto& trees = run.merger_trees(l);
       if (trees.empty()) continue;
@@ -671,17 +649,16 @@ SolveResult solve_budget(LayeredRun& run, double budget,
       continue;
     }
     const std::size_t l = to_level - 1;  // the layer just embedded
-    const sfc::Layer& layer = run.dag.layer(l);
     const auto slots = run.index.layer_slots(l);
     const auto [ifirst, ilast] = run.index.inter_group_range(l);
     if (lab.gadget < 0) {  // placement arc of a sequential layer
-      DAGSFC_ASSERT(!layer.has_merger());
+      DAGSFC_ASSERT(!run.dag.layer(l).has_merger());
       DAGSFC_ASSERT(seg.target() == node);
       sol.placement[slots[0]] = node;
       seg.cost = run.g.path_cost(seg);
       sol.inter_paths[ifirst] = std::move(seg);
     } else {  // gadget transition of a parallel layer
-      DAGSFC_ASSERT(layer.has_merger());
+      DAGSFC_ASSERT(run.dag.layer(l).has_merger());
       DAGSFC_ASSERT(seg.edges.empty());  // no routing on a parallel level
       const NodeId prev_end = seg.nodes.front();
       const GadgetBack& back = gadget_backs[lab.gadget];
@@ -734,7 +711,7 @@ SolveResult LayeredEmbedder::do_solve(const ModelIndex& index,
   const Tracer tr(trace);
   LayeredRun run(index, ledger);
 
-  if (run.too_large(opts_.max_work)) {
+  if (detail::exceeds_gadget_work(run.net, run.dag, opts_.max_work)) {
     SolveResult result;
     result.failure_reason = "instance too large for the layered solver";
     result.path_queries = run.oracle.counters();

@@ -16,7 +16,7 @@
 ///     and v hosts its VNF with residual capacity, priced at the rent;
 ///   * gadget transitions (l, p) ⇒ (l+1, m) — when the next layer is
 ///     parallel: settling the boundary state fires the same enumeration the
-///     exact solver runs per DP cell (minimum Steiner multicast over
+///     EXACT per-layer DP runs per DP cell (minimum Steiner multicast over
 ///     {p} ∪ assignment, formula (9); rents; inner shortest paths to each
 ///     merger candidate, formula (10)), because multicast pricing is not
 ///     expressible as per-arc costs.
@@ -24,10 +24,11 @@
 /// One Dijkstra pass over this graph — never materialized; successors are
 /// expanded on the fly over the CSR view with a per-worker SearchWorkspace
 /// (prepare_states()) — therefore chooses VNF nodes and real paths jointly
-/// and is exact for the uncapacitated objective, like ExactEmbedder but
-/// with the per-layer Cartesian DP replaced by label merging on routing
-/// levels. Capacities are screened per resource while searching and
-/// checked for real post-hoc, exactly like the exact solver.
+/// and is exact for the uncapacitated objective: it is the production exact
+/// engine. The EXACT per-layer Cartesian DP it replaced lives on as its
+/// test oracle in tests/oracles/exact.hpp, and the two agree bitwise.
+/// Capacities are screened per resource while searching and checked for
+/// real post-hoc, exactly like that DP.
 ///
 /// An optional end-to-end delay budget (Ren & Han, "Embedding the Minimum
 /// Cost SFC with End-to-end Delay Constraint") turns the scalar search into
@@ -52,7 +53,8 @@ struct LayeredOptions {
   /// Delay model used when a budget is set.
   DelayModel delay_model;
   /// Upper bound on the estimated parallel-gadget work (boundary states ×
-  /// assignments, the same estimate ExactEmbedder uses) before refusing.
+  /// assignments, detail::exceeds_gadget_work — shared with the EXACT test
+  /// oracle in tests/oracles/) before refusing.
   std::size_t max_work = 5'000'000;
   /// Safety valve for the bi-criteria mode: maximum labels created before
   /// the solve fails with a clear reason instead of thrashing.

@@ -32,14 +32,6 @@ const graph::EdgeMask* PathOracle::effective_mask() {
 
 std::shared_ptr<const graph::ShortestPathTree> PathOracle::tree(
     NodeId source) {
-  if (!flat_) {
-    if (auto* cache = ledger_->path_cache()) {
-      return cache->tree(*g_, source, context(), usable_, counters_);
-    }
-    ++counters_.dijkstra_calls;
-    return std::make_shared<const graph::ShortestPathTree>(
-        graph::dijkstra(*g_, source, usable_));
-  }
   const graph::EdgeMask* mask = usable_mask();
   if (auto* cache = ledger_->path_cache()) {
     return cache->tree(*g_, source, context(), mask, *ws_, counters_);
@@ -52,7 +44,6 @@ std::shared_ptr<const graph::ShortestPathTree> PathOracle::tree(
 std::optional<graph::Path> PathOracle::min_cost_path(NodeId a, NodeId b) {
   if (ledger_->path_cache()) return tree(a)->path_to(b);
   ++counters_.dijkstra_calls;
-  if (!flat_) return graph::min_cost_path(*g_, a, b, usable_);
   return graph::min_cost_path(*g_, a, b, *ws_, effective_mask());
 }
 
@@ -63,13 +54,6 @@ std::vector<std::optional<graph::Path>> PathOracle::min_cost_paths(
   if (ledger_->path_cache()) {
     const auto t = tree(a);
     for (const NodeId b : targets) out.push_back(t->path_to(b));
-    return out;
-  }
-  if (!flat_) {
-    for (const NodeId b : targets) {
-      ++counters_.dijkstra_calls;
-      out.push_back(graph::min_cost_path(*g_, a, b, usable_));
-    }
     return out;
   }
   // One multi-target pass; counts as one computation. Each extraction is
@@ -84,13 +68,6 @@ std::vector<std::optional<graph::Path>> PathOracle::min_cost_paths(
 
 std::vector<graph::Path> PathOracle::k_shortest(NodeId a, NodeId b,
                                                 std::size_t k) {
-  if (!flat_) {
-    if (auto* cache = ledger_->path_cache()) {
-      return *cache->k_paths(*g_, a, b, k, context(), usable_, counters_);
-    }
-    ++counters_.yen_calls;
-    return graph::k_shortest_paths(*g_, a, b, k, usable_);
-  }
   const graph::EdgeMask* mask = usable_mask();
   if (auto* cache = ledger_->path_cache()) {
     return *cache->k_paths(*g_, a, b, k, context(), mask, *ws_, counters_);
@@ -102,7 +79,6 @@ std::vector<graph::Path> PathOracle::k_shortest(NodeId a, NodeId b,
 std::vector<graph::Path> PathOracle::k_shortest_filtered(
     NodeId a, NodeId b, std::size_t k, const graph::EdgeFilter& filter) {
   ++counters_.yen_calls;
-  if (!flat_) return graph::k_shortest_paths(*g_, a, b, k, filter);
   // Materialize once (one filter call per edge) so the whole Yen run —
   // every spur Dijkstra included — probes bits instead of the closure.
   filtered_mask_.fill_from(*g_, filter);
@@ -113,7 +89,6 @@ std::vector<graph::Path> PathOracle::k_shortest_filtered(
 std::optional<graph::SteinerTree> PathOracle::steiner(
     const std::vector<NodeId>& terminals) {
   ++counters_.steiner_calls;
-  if (!flat_) return graph::steiner_tree(*g_, terminals, usable_);
   return graph::steiner_tree(*g_, terminals, usable_mask(), *ws_);
 }
 

@@ -3,27 +3,26 @@
 /// The one gateway through which embedders ask shortest-path questions.
 ///
 /// A PathOracle binds the topology, the residual ledger and the flow rate,
-/// exposes the residual-capacity edge filter every solver uses, and routes
-/// each query through the ledger's graph::PathCache when one is enabled —
-/// falling back to direct computation otherwise. Either way it tallies
-/// graph::PathQueryCounters, which the embedders surface on SolveResult.
+/// restricts every query to the links with enough residual capacity, and
+/// routes each query through the ledger's graph::PathCache when one is
+/// enabled — falling back to direct computation otherwise. Either way it
+/// tallies graph::PathQueryCounters, which the embedders surface on
+/// SolveResult.
 ///
-/// Under the flat search layer (the default) the oracle also owns the
-/// per-solve machinery the kernels want: a SearchWorkspace (caller-supplied
-/// so a worker thread can reuse one across solves, or embedded as a
-/// fallback) and an epoch-keyed usable-edge mask — link_can_carry is
-/// re-evaluated per edge only when the ledger epoch moves, not per probe.
-/// set_flat_search_default(false) routes every query through the preserved
-/// seed implementations instead (sampled at construction, like the ledger's
-/// cache default).
+/// The oracle also owns the per-solve machinery the flat kernels want: a
+/// SearchWorkspace (caller-supplied so a worker thread can reuse one across
+/// solves, or embedded as a fallback) and an epoch-keyed usable-edge mask —
+/// link_can_carry is re-evaluated per edge only when the ledger epoch
+/// moves, not per probe.
 ///
 /// Cached and uncached answers are bit-identical by construction: a cached
 /// point-to-point path is read out of the full Dijkstra tree, whose parent
 /// chain for any target equals the early-exit run's (targets are finalized
 /// when popped; later relaxations cannot improve them), and cached Yen
-/// results are the same deterministic k_shortest_paths() output. Flat and
-/// reference answers are bit-identical too — tests/test_search_flat.cpp
-/// holds every embedder to that.
+/// results are the same deterministic k_shortest_paths() output. Answers
+/// are also bit-identical to the seed search the flat kernels replaced —
+/// tests/test_search_flat.cpp holds every kernel to the frozen copy in
+/// tests/oracles/ and every embedder to digests recorded from it.
 
 #include <bit>
 #include <cstdint>
@@ -53,20 +52,10 @@ class PathOracle {
       : g_(&g),
         ledger_(&ledger),
         rate_(rate),
-        usable_([this](graph::EdgeId e) {
-          return ledger_->link_can_carry(e, rate_);
-        }),
-        ws_(ws != nullptr ? ws : &own_ws_),
-        flat_(graph::flat_search_default()) {}
+        ws_(ws != nullptr ? ws : &own_ws_) {}
 
   PathOracle(const PathOracle&) = delete;
   PathOracle& operator=(const PathOracle&) = delete;
-
-  /// Links that can carry the flow rate on the residual network — the
-  /// filter formerly rebuilt by every solver.
-  [[nodiscard]] const graph::EdgeFilter& usable() const noexcept {
-    return usable_;
-  }
 
   /// The workspace queries run through — for callers (ring searches) that
   /// share the oracle's buffers.
@@ -98,8 +87,8 @@ class PathOracle {
   [[nodiscard]] std::vector<graph::Path> k_shortest_filtered(
       NodeId a, NodeId b, std::size_t k, const graph::EdgeFilter& filter);
 
-  /// Minimum Steiner tree over usable links (exact solver's multicast
-  /// pricing). Counted in PathQueryCounters::steiner_calls.
+  /// Minimum Steiner tree over usable links (the exact-class solvers'
+  /// multicast pricing). Counted in PathQueryCounters::steiner_calls.
   [[nodiscard]] std::optional<graph::SteinerTree> steiner(
       const std::vector<NodeId>& terminals);
 
@@ -114,14 +103,15 @@ class PathOracle {
   }
 
  private:
-  /// Everything usable() depends on besides the ledger epoch, folded into
-  /// the cache key so e.g. flows of different rates never share entries.
+  /// Everything the usable-links mask depends on besides the ledger epoch,
+  /// folded into the cache key so flows of different rates never share
+  /// entries.
   [[nodiscard]] std::uint64_t context() const noexcept {
     return std::bit_cast<std::uint64_t>(rate_);
   }
 
   /// The usable-links mask, rebuilt from link_can_carry only when the
-  /// ledger epoch has moved since the last query. Flat mode only.
+  /// ledger epoch has moved since the last query.
   [[nodiscard]] const graph::EdgeMask* usable_mask();
 
   /// usable_mask(), except it returns nullptr when no edge is currently
@@ -132,12 +122,10 @@ class PathOracle {
   const graph::Graph* g_;
   const net::CapacityLedger* ledger_;
   double rate_;
-  graph::EdgeFilter usable_;
   graph::PathQueryCounters counters_;
 
   graph::SearchWorkspace own_ws_;
   graph::SearchWorkspace* ws_;
-  const bool flat_;
 
   graph::EdgeMaskBuffer usable_mask_;
   graph::EdgeMask usable_view_;

@@ -1,11 +1,12 @@
 #pragma once
 /// \file solver_detail.hpp
-/// Small helpers shared by the optimality-grade solvers (EXACT and
-/// LAYERED): trivial single-node paths, path extraction inside a fixed
-/// Steiner-tree edge set, and the odometer-style assignment enumerator.
-/// They were file-local to exact.cpp until the layered embedder needed the
-/// identical reconstruction arithmetic — both solvers must produce the same
-/// real-paths from the same decisions for their costs to agree bitwise.
+/// Small helpers shared by the exact-class solvers (LAYERED, and the EXACT
+/// per-layer DP that tests keep as its oracle in tests/oracles/): the work
+/// estimate both refuse oversized instances by, trivial single-node paths,
+/// path extraction inside a fixed Steiner-tree edge set, and the
+/// odometer-style assignment enumerator. Both solvers must produce the same
+/// real-paths from the same decisions for their costs to agree bitwise, and
+/// must refuse the same instances.
 
 #include <algorithm>
 #include <map>
@@ -13,8 +14,37 @@
 #include <vector>
 
 #include "graph/graph.hpp"
+#include "net/network.hpp"
+#include "sfc/dag_sfc.hpp"
 
 namespace dagsfc::core::detail {
+
+/// True when the exhaustive parallel-layer enumeration would exceed
+/// \p max_work: per layer, (end nodes of the previous layer) × (VNF-to-host
+/// assignments of this one), summed over the chain and checked after every
+/// layer. Host counts ignore capacity, so the estimate depends only on the
+/// network and the SFC.
+inline bool exceeds_gadget_work(const net::Network& net,
+                                const sfc::DagSfc& dag,
+                                std::size_t max_work) {
+  double work = 0.0;
+  std::size_t prev_ends = 1;
+  for (std::size_t l = 0; l < dag.num_layers(); ++l) {
+    const sfc::Layer& layer = dag.layer(l);
+    double assignments = 1.0;
+    for (const net::VnfTypeId t : layer.vnfs) {
+      assignments *= static_cast<double>(
+          std::max<std::size_t>(1, net.nodes_with(t).size()));
+    }
+    const std::size_t ends = layer.has_merger()
+                                 ? net.nodes_with(net.catalog().merger()).size()
+                                 : net.nodes_with(layer.vnfs[0]).size();
+    work += static_cast<double>(prev_ends) * assignments;
+    prev_ends = std::max<std::size_t>(1, ends);
+    if (work > static_cast<double>(max_work)) return true;
+  }
+  return false;
+}
 
 inline graph::Path trivial_path(graph::NodeId v) {
   graph::Path p;

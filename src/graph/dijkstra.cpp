@@ -1,7 +1,5 @@
 #include "graph/dijkstra.hpp"
 
-#include "graph/reference.hpp"
-
 namespace dagsfc::graph {
 
 std::optional<Path> ShortestPathTree::path_to(NodeId target) const {
@@ -31,14 +29,15 @@ namespace {
 /// The scan streams the CSR incidence and weight arrays in lockstep — the
 /// only random access left per arc is the neighbor's fused dist/stamp slot.
 ///
-/// Bit-identity with reference::run_dijkstra: the loop structure (pop →
-/// stale check → stop check → relax on strict improvement) is the same, CSR
-/// rows replay the adjacency lists in insertion order, and the workspace
-/// heap pops in the same (dist, node) lexicographic order as the seed's
-/// std::priority_queue. Since a node is only re-pushed with a strictly
-/// smaller dist, all live heap entries are distinct, so *any* correct
-/// min-heap pops the identical sequence — neither the heap's layout nor its
-/// integer key encoding can change a parent, a distance, or a tie-break.
+/// Bit-identity with the seed's reference::run_dijkstra (tests/oracles/):
+/// the loop structure (pop → stale check → stop check → relax on strict
+/// improvement) is the same, CSR rows replay the adjacency lists in
+/// insertion order, and the workspace heap pops in the same (dist, node)
+/// lexicographic order as the seed's std::priority_queue. Since a node is
+/// only re-pushed with a strictly smaller dist, all live heap entries are
+/// distinct, so *any* correct min-heap pops the identical sequence —
+/// neither the heap's layout nor its integer key encoding can change a
+/// parent, a distance, or a tie-break.
 template <typename Allow>
 void run_flat(const Graph& g, NodeId source, SearchWorkspace& ws,
               const Allow& allow, NodeId stop_at) {
@@ -248,7 +247,6 @@ void dijkstra_into_targets(const Graph& g, NodeId source,
 
 ShortestPathTree dijkstra(const Graph& g, NodeId source,
                           const EdgeFilter& filter) {
-  if (!flat_search_default()) return reference::dijkstra(g, source, filter);
   SearchWorkspace& ws = thread_local_workspace();
   if (!filter) return dijkstra(g, source, ws);
   ws.scratch_mask().fill_from(g, filter);
@@ -258,9 +256,6 @@ ShortestPathTree dijkstra(const Graph& g, NodeId source,
 
 std::optional<Path> min_cost_path(const Graph& g, NodeId source, NodeId target,
                                   const EdgeFilter& filter) {
-  if (!flat_search_default()) {
-    return reference::min_cost_path(g, source, target, filter);
-  }
   SearchWorkspace& ws = thread_local_workspace();
   if (!filter) return min_cost_path(g, source, target, ws);
   ws.scratch_mask().fill_from(g, filter);

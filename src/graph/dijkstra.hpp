@@ -12,10 +12,9 @@
 ///     and the embedders use.
 ///   * Legacy tier — the original EdgeFilter signatures, kept for callers
 ///     that don't carry a workspace (ILP bound generation, one-off tests).
-///     They dispatch to the flat kernels through a per-thread workspace, or
-///     to the frozen seed code in graph::reference when
-///     set_flat_search_default(false) is in effect. Either way the results
-///     are bit-identical.
+///     They materialize the filter into the per-thread workspace's scratch
+///     mask and run the flat kernels. The frozen seed code they replaced
+///     lives on in tests/oracles/ as the differential tests' reference.
 
 #include <optional>
 #include <span>

@@ -61,24 +61,6 @@ std::vector<EdgeId> PathCache::footprint(const ShortestPathTree& t) {
 
 std::shared_ptr<const ShortestPathTree> PathCache::tree(
     const Graph& g, NodeId source, std::uint64_t context,
-    const EdgeFilter& filter, PathQueryCounters& c) {
-  const TreeKey key{context, source};
-  if (auto it = trees_.find(key); it != trees_.end()) {
-    ++c.cache_hits;
-    return it->second.tree;
-  }
-  ++c.cache_misses;
-  ++c.dijkstra_calls;
-  auto entry = std::make_shared<const ShortestPathTree>(
-      dijkstra(g, source, filter));
-  make_room(trees_, tree_contexts_, c);
-  trees_.emplace(key, TreeEntry{entry, footprint(*entry)});
-  index_add(tree_contexts_, context);
-  return entry;
-}
-
-std::shared_ptr<const ShortestPathTree> PathCache::tree(
-    const Graph& g, NodeId source, std::uint64_t context,
     const EdgeMask* mask, SearchWorkspace& ws, PathQueryCounters& c) {
   const TreeKey key{context, source};
   if (auto it = trees_.find(key); it != trees_.end()) {
@@ -92,24 +74,6 @@ std::shared_ptr<const ShortestPathTree> PathCache::tree(
   make_room(trees_, tree_contexts_, c);
   trees_.emplace(key, TreeEntry{entry, footprint(*entry)});
   index_add(tree_contexts_, context);
-  return entry;
-}
-
-std::shared_ptr<const std::vector<Path>> PathCache::k_paths(
-    const Graph& g, NodeId source, NodeId target, std::size_t k,
-    std::uint64_t context, const EdgeFilter& filter, PathQueryCounters& c) {
-  const YenKey key{context, source, target, k};
-  if (auto it = yens_.find(key); it != yens_.end()) {
-    ++c.cache_hits;
-    return it->second;
-  }
-  ++c.cache_misses;
-  ++c.yen_calls;
-  auto entry = std::make_shared<const std::vector<Path>>(
-      k_shortest_paths(g, source, target, k, filter));
-  make_room(yens_, yen_contexts_, c);
-  yens_.emplace(key, entry);
-  index_add(yen_contexts_, context);
   return entry;
 }
 

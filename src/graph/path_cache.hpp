@@ -5,11 +5,12 @@
 /// The embedders spend most of their time re-running Dijkstra and Yen
 /// between the same endpoints while the residual network has not changed:
 /// BBE/MBBE re-derive the min-cost tree of a sub-solution's end node once
-/// per parent, the exact solver re-runs per-merger Dijkstra for every DP
-/// cell, and the baselines route every meta-path from scratch. A PathCache
-/// memoizes those results keyed by (context, endpoints, k), where context
-/// is the flow rate bit-cast to uint64 — the one extra input the usability
-/// filter depends on — so flows of different rates never share entries.
+/// per parent, the layered solver reads a Dijkstra tree per merger
+/// candidate of every parallel layer, and the baselines route every
+/// meta-path from scratch. A PathCache memoizes those results keyed by
+/// (context, endpoints, k), where context is the flow rate bit-cast to
+/// uint64 — the one extra input the usability filter depends on — so flows
+/// of different rates never share entries.
 ///
 /// ## Invalidation contract
 ///
@@ -57,7 +58,7 @@ namespace dagsfc::graph {
 /// fields count actual computations (cache misses included, hits
 /// excluded); hits/misses/evictions count cache events only. `bfs_calls`
 /// tallies the backtracking engine's ring searches and `steiner_calls` the
-/// exact solver's multicast pricing, so the inter-layer path work is
+/// exact-class solvers' multicast pricing, so the inter-layer path work is
 /// visible alongside the Dijkstra/Yen unicast work.
 struct PathQueryCounters {
   std::size_t dijkstra_calls = 0;
@@ -106,27 +107,18 @@ class PathCache {
   explicit PathCache(std::size_t max_entries = 1024)
       : max_entries_(max_entries == 0 ? 1 : max_entries) {}
 
-  /// Full Dijkstra tree from \p source under \p filter. Computes on miss.
-  /// \p context must be the flow rate bit-cast to uint64 — the invalidation
-  /// hooks decode it to evaluate usability flips.
-  [[nodiscard]] std::shared_ptr<const ShortestPathTree> tree(
-      const Graph& g, NodeId source, std::uint64_t context,
-      const EdgeFilter& filter, PathQueryCounters& c);
-
-  /// Flat-tier variant: misses compute through \p ws with \p mask (null ⇒
-  /// all edges). The caller guarantees the mask matches the current
-  /// residual state and that every later residual change is forwarded via
-  /// the on_link_* hooks — exactly what CapacityLedger does.
+  /// Full Dijkstra tree from \p source over the edges \p mask allows (null
+  /// ⇒ all edges). Computes on miss, through \p ws. \p context must be the
+  /// flow rate bit-cast to uint64 — the invalidation hooks decode it to
+  /// evaluate usability flips. The caller guarantees the mask matches the
+  /// current residual state and that every later residual change is
+  /// forwarded via the on_link_* hooks — exactly what CapacityLedger does.
   [[nodiscard]] std::shared_ptr<const ShortestPathTree> tree(
       const Graph& g, NodeId source, std::uint64_t context,
       const EdgeMask* mask, SearchWorkspace& ws, PathQueryCounters& c);
 
-  /// Yen's k cheapest loopless paths source → target under \p filter.
-  [[nodiscard]] std::shared_ptr<const std::vector<Path>> k_paths(
-      const Graph& g, NodeId source, NodeId target, std::size_t k,
-      std::uint64_t context, const EdgeFilter& filter, PathQueryCounters& c);
-
-  /// Flat-tier variant of k_paths, same contract as the flat tree().
+  /// Yen's k cheapest loopless paths source → target over the edges \p mask
+  /// allows; same contract as tree().
   [[nodiscard]] std::shared_ptr<const std::vector<Path>> k_paths(
       const Graph& g, NodeId source, NodeId target, std::size_t k,
       std::uint64_t context, const EdgeMask* mask, SearchWorkspace& ws,

@@ -4,8 +4,6 @@
 #include <cstdint>
 #include <set>
 
-#include "graph/reference.hpp"
-
 namespace dagsfc::graph {
 
 namespace {
@@ -326,9 +324,6 @@ std::optional<SteinerTree> steiner_tree(const Graph& g,
 std::optional<SteinerTree> steiner_tree(const Graph& g,
                                         const std::vector<NodeId>& terminals,
                                         const EdgeFilter& filter) {
-  if (!flat_search_default()) {
-    return reference::steiner_tree(g, terminals, filter);
-  }
   SearchWorkspace& ws = thread_local_workspace();
   if (!filter) return steiner_tree(g, terminals, nullptr, ws);
   ws.scratch_mask().fill_from(g, filter);

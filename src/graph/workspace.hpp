@@ -40,13 +40,13 @@
 
 namespace dagsfc::graph {
 
-/// Process-wide switch between the flat search kernels (CSR + workspace +
-/// edge mask; the default) and the preserved seed implementations in
-/// graph::reference. Exists for the differential tests and before/after
-/// benches — results are bit-identical either way. Like
-/// CapacityLedger::set_cache_default: flip before spawning worker threads.
-void set_flat_search_default(bool enabled) noexcept;
-[[nodiscard]] bool flat_search_default() noexcept;
+/// The flat kernels are the only search tier; the seed implementations
+/// they replaced live in tests/oracles/ for the differential tests. This
+/// shim survives only because perfbench/src/main.cpp still calls it; it goes
+/// at the next change to the benchmark.
+inline void set_flat_search_default(bool enabled) {
+  DAGSFC_CHECK_MSG(enabled, "the seed search tier is test-only");
+}
 
 class SearchWorkspace;
 

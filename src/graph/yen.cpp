@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <set>
 
-#include "graph/reference.hpp"
-
 namespace dagsfc::graph {
 
 namespace {
@@ -99,9 +97,6 @@ std::vector<Path> k_shortest_paths(const Graph& g, NodeId source,
 std::vector<Path> k_shortest_paths(const Graph& g, NodeId source,
                                    NodeId target, std::size_t k,
                                    const EdgeFilter& filter) {
-  if (!flat_search_default()) {
-    return reference::k_shortest_paths(g, source, target, k, filter);
-  }
   SearchWorkspace& ws = thread_local_workspace();
   if (!filter) return k_shortest_paths(g, source, target, k, nullptr, ws);
   ws.scratch_mask().fill_from(g, filter);

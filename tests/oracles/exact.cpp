@@ -1,4 +1,4 @@
-#include "core/exact.hpp"
+#include "oracles/exact.hpp"
 
 #include <algorithm>
 #include <map>
@@ -59,26 +59,10 @@ SolveResult ExactEmbedder::do_solve(const ModelIndex& index,
     return out;
   };
 
-  // Work estimate: refuse instances beyond the budget instead of hanging.
-  double work = 0.0;
-  std::size_t prev_ends = 1;
-  for (std::size_t l = 0; l < omega; ++l) {
-    const sfc::Layer& layer = dag.layer(l);
-    double assignments = 1.0;
-    for (VnfTypeId t : layer.vnfs) {
-      assignments *= static_cast<double>(std::max<std::size_t>(
-          1, net.nodes_with(t).size()));
-    }
-    const std::size_t ends = layer.has_merger()
-                                 ? net.nodes_with(catalog.merger()).size()
-                                 : net.nodes_with(layer.vnfs[0]).size();
-    work += static_cast<double>(prev_ends) * assignments;
-    prev_ends = std::max<std::size_t>(1, ends);
-    if (work > static_cast<double>(opts_.max_work)) {
-      result.failure_reason = "instance too large for the exact solver";
-      record_counters();
-      return result;
-    }
+  if (detail::exceeds_gadget_work(net, dag, opts_.max_work)) {
+    result.failure_reason = "instance too large for the exact solver";
+    record_counters();
+    return result;
   }
 
   auto price_of = [&](NodeId v, VnfTypeId t) {

@@ -23,7 +23,10 @@
 /// is checked afterwards and the result is flagged infeasible if any
 /// capacity binds. Tests use this solver as the optimality oracle for
 /// BBE/MBBE on generously provisioned instances, where the check always
-/// passes and the DP value is the true optimum.
+/// passes and the DP value is the true optimum, and as the reference that
+/// core::LayeredEmbedder — the library's exact engine — must match bitwise.
+/// It lives in the test-only dagsfc_test_oracles library; no production
+/// code can select it.
 
 #include "core/embedder.hpp"
 

@@ -2,7 +2,7 @@
 // This file is a verbatim copy of the original dijkstra.cpp / yen.cpp /
 // steiner.cpp bodies; keep it byte-for-byte faithful to the seed logic.
 
-#include "graph/reference.hpp"
+#include "oracles/reference.hpp"
 
 #include <algorithm>
 #include <cstdint>

@@ -5,15 +5,17 @@
 /// When the flat kernels (CSR + SearchWorkspace + EdgeMask) replaced these on
 /// the hot path, the originals moved here instead of being deleted. They
 /// serve two purposes:
-///   1. Oracle for the differential tests (tests/test_search_flat.cpp): flat
-///      search must be bit-identical to these for every query and for every
-///      embedder's end-to-end SolveResult.
+///   1. Oracle for the kernel-level differential tests
+///      (tests/test_search_flat.cpp, tests/test_search_workspace.cpp): flat
+///      search must be bit-identical to these for every query. The
+///      embedder-level half of that contract is pinned by digests recorded
+///      from these kernels when embedders could still run on them.
 ///   2. The honest "before" arm of bench/micro_graph, so the recorded
 ///      speedups compare against the real seed code, not a strawman.
 ///
-/// They are also what the public EdgeFilter entry points fall back to when
-/// set_flat_search_default(false) is in effect. Do not "optimize" anything in
-/// this file — its value is being a frozen baseline.
+/// They live in the test-only dagsfc_test_oracles library; no production
+/// code path can reach them. Do not "optimize" anything in this file — its
+/// value is being a frozen baseline.
 
 #include <optional>
 #include <vector>

@@ -2,11 +2,17 @@
 
 #include <gtest/gtest.h>
 
-#include "core/exact.hpp"
 #include "test_helpers.hpp"
 
 namespace dagsfc::core {
 namespace {
+
+MbbeOptions mbbe_options(std::size_t x_max, std::size_t x_d) {
+  MbbeOptions opts;
+  opts.x_max = x_max;
+  opts.x_d = x_d;
+  return opts;
+}
 
 TEST(Bbe, SolvesCanonicalFixtureWithKnownCost) {
   // Hand trace (see DESIGN.md interpretation): the forward search from f1@1
@@ -141,14 +147,14 @@ TEST(Mbbe, TinyXmaxFallsBackToUncappedSearch) {
 }
 
 TEST(Mbbe, InvalidOptionsRejected) {
-  EXPECT_THROW(MbbeEmbedder(MbbeOptions{0, 4}), ContractViolation);
-  EXPECT_THROW(MbbeEmbedder(MbbeOptions{50, 0}), ContractViolation);
+  EXPECT_THROW(MbbeEmbedder(mbbe_options(0, 4)), ContractViolation);
+  EXPECT_THROW(MbbeEmbedder(mbbe_options(50, 0)), ContractViolation);
 }
 
 TEST(Mbbe, ExpandsFewerSubSolutionsThanBbe) {
   auto fx = test::canonical_fixture();
   const BbeEmbedder bbe;
-  const MbbeEmbedder mbbe(MbbeOptions{50, 1});
+  const MbbeEmbedder mbbe(mbbe_options(50, 1));
   Rng rng(10);
   const auto rb = bbe.solve_fresh(*fx->index, rng);
   const auto rm = mbbe.solve_fresh(*fx->index, rng);

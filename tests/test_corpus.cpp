@@ -8,8 +8,8 @@
 #include <sstream>
 
 #include "core/backtracking.hpp"
-#include "core/exact.hpp"
 #include "net/io.hpp"
+#include "oracles/exact.hpp"
 #include "sfc/io.hpp"
 
 #ifndef DAGSFC_CORPUS_DIR
@@ -78,7 +78,9 @@ TEST_P(Corpus, GoldenCostsHold) {
   } else {
     ASSERT_TRUE(re.ok()) << re.failure_reason;
     EXPECT_NEAR(re.cost, g.exact_cost, 1e-2);
-    if (rm.ok()) EXPECT_GE(rm.cost + 1e-9, re.cost);
+    if (rm.ok()) {
+      EXPECT_GE(rm.cost + 1e-9, re.cost);
+    }
   }
 }
 
@@ -91,8 +93,8 @@ INSTANTIATE_TEST_SUITE_P(
         // Exact refuses: its uncapacitated optimum reuses the cheap f1
         // instance beyond its capacity; MBBE packs feasibly at 82.
         Golden{"tightline5", 82.0, -1.0}),
-    [](const ::testing::TestParamInfo<Golden>& info) {
-      return info.param.name;
+    [](const ::testing::TestParamInfo<Golden>& param_info) {
+      return param_info.param.name;
     });
 
 }  // namespace

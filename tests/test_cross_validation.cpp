@@ -6,8 +6,8 @@
 
 #include "core/backtracking.hpp"
 #include "core/baselines.hpp"
-#include "core/exact.hpp"
 #include "core/ilp.hpp"
+#include "oracles/exact.hpp"
 #include "sim/scenario.hpp"
 #include "test_helpers.hpp"
 

@@ -1,7 +1,8 @@
-#include "core/exact.hpp"
+#include "oracles/exact.hpp"
 
 #include <gtest/gtest.h>
 
+#include "core/layered.hpp"
 #include "test_helpers.hpp"
 
 namespace dagsfc::core {
@@ -89,6 +90,31 @@ TEST(Exact, RefusesOversizedInstances) {
   const auto r = exact.solve_fresh(*fx->index, rng);
   EXPECT_FALSE(r.ok());
   EXPECT_NE(r.failure_reason.find("too large"), std::string::npos);
+
+  // LAYERED refuses through the same work estimate, so at every budget the
+  // two engines refuse the same instances; the sweep crosses the fixture's
+  // estimate, so both outcomes occur.
+  std::size_t refusals = 0;
+  std::size_t budgets = 0;
+  for (std::size_t budget = 1; budget <= (1u << 16); budget *= 2, ++budgets) {
+    SCOPED_TRACE("max_work " + std::to_string(budget));
+    ExactOptions eo;
+    eo.max_work = budget;
+    LayeredOptions lo;
+    lo.max_work = budget;
+    Rng r1(6);
+    Rng r2(6);
+    const auto e = ExactEmbedder(eo).solve_fresh(*fx->index, r1);
+    const auto l = LayeredEmbedder(lo).solve_fresh(*fx->index, r2);
+    const bool e_refused =
+        e.failure_reason.find("too large") != std::string::npos;
+    const bool l_refused =
+        l.failure_reason.find("too large") != std::string::npos;
+    EXPECT_EQ(e_refused, l_refused);
+    if (e_refused) ++refusals;
+  }
+  EXPECT_GT(refusals, 0u);
+  EXPECT_LT(refusals, budgets);
 }
 
 TEST(Exact, FlagsBindingCapacities) {

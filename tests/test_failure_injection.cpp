@@ -7,7 +7,7 @@
 
 #include "core/backtracking.hpp"
 #include "core/baselines.hpp"
-#include "core/exact.hpp"
+#include "oracles/exact.hpp"
 #include "test_helpers.hpp"
 
 namespace dagsfc::core {

@@ -24,11 +24,11 @@
 
 #include "core/backtracking.hpp"
 #include "core/delay.hpp"
-#include "core/exact.hpp"
 #include "core/layered.hpp"
 #include "core/validator.hpp"
 #include "graph/workspace.hpp"
 #include "net/io.hpp"
+#include "oracles/exact.hpp"
 #include "sfc/io.hpp"
 #include "sim/scenario.hpp"
 #include "test_helpers.hpp"
@@ -130,7 +130,9 @@ TEST_P(LayeredCorpus, MatchesExactBeatsHeuristics) {
 INSTANTIATE_TEST_SUITE_P(Instances, LayeredCorpus,
                          ::testing::Values("ring12", "leafspine14", "waxman20",
                                            "tightline5"),
-                         [](const auto& info) { return info.param; });
+                         [](const auto& param_info) {
+                           return param_info.param;
+                         });
 
 // ---------------------------------------------------------------------------
 // 200 seeded random instances.

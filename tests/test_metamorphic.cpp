@@ -23,12 +23,12 @@
 #include "core/backtracking.hpp"
 #include "core/baselines.hpp"
 #include "core/delay.hpp"
-#include "core/exact.hpp"
 #include "core/layered.hpp"
 #include "core/solution.hpp"
 #include "core/trace.hpp"
 #include "graph/generator.hpp"
 #include "net/network.hpp"
+#include "oracles/exact.hpp"
 #include "sim/config.hpp"
 #include "sim/scenario.hpp"
 #include "test_helpers.hpp"

@@ -6,8 +6,8 @@
 
 #include "core/backtracking.hpp"
 #include "core/baselines.hpp"
-#include "core/exact.hpp"
 #include "graph/dijkstra.hpp"
+#include "oracles/exact.hpp"
 #include "sim/scenario.hpp"
 
 namespace dagsfc::core {

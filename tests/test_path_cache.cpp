@@ -14,13 +14,13 @@
 
 #include "core/backtracking.hpp"
 #include "core/baselines.hpp"
-#include "core/exact.hpp"
 #include "core/layered.hpp"
 #include "core/path_oracle.hpp"
 #include "core/validator.hpp"
 #include "graph/path_cache.hpp"
 #include "graph/workspace.hpp"
 #include "net/io.hpp"
+#include "oracles/exact.hpp"
 #include "sfc/io.hpp"
 #include "sim/scenario.hpp"
 #include "test_helpers.hpp"
@@ -53,11 +53,12 @@ TEST(PathCache, TreeHitsOnRepeatAndSurvivesNonFlipDebits) {
   const graph::Graph g = diamond();
   graph::PathCache cache;
   graph::PathQueryCounters c;
+  graph::SearchWorkspace ws;
 
-  const auto t1 = cache.tree(g, 0, ctx(1.0), {}, c);
+  const auto t1 = cache.tree(g, 0, ctx(1.0), nullptr, ws, c);
   EXPECT_EQ(c.cache_misses, 1u);
   EXPECT_EQ(c.dijkstra_calls, 1u);
-  const auto t2 = cache.tree(g, 0, ctx(1.0), {}, c);
+  const auto t2 = cache.tree(g, 0, ctx(1.0), nullptr, ws, c);
   EXPECT_EQ(c.cache_hits, 1u);
   EXPECT_EQ(c.dijkstra_calls, 1u);  // served from cache, not recomputed
   EXPECT_EQ(t1.get(), t2.get());    // same shared entry
@@ -65,7 +66,7 @@ TEST(PathCache, TreeHitsOnRepeatAndSurvivesNonFlipDebits) {
   // A debit that leaves the edge usable at rate 1.0 is not a flip: the
   // usable-edge set — and therefore every cached result — is unchanged.
   cache.on_link_debit(0, 10.0, 5.0, kEps);
-  (void)cache.tree(g, 0, ctx(1.0), {}, c);
+  (void)cache.tree(g, 0, ctx(1.0), nullptr, ws, c);
   EXPECT_EQ(c.cache_hits, 2u);
   EXPECT_EQ(cache.invalidation_stats().flips, 0u);
   EXPECT_EQ(cache.invalidation_stats().trees_evicted, 0u);
@@ -75,7 +76,7 @@ TEST(PathCache, TreeHitsOnRepeatAndSurvivesNonFlipDebits) {
   cache.on_link_debit(0, 5.0, 0.5, kEps);
   EXPECT_EQ(cache.invalidation_stats().flips, 1u);
   EXPECT_EQ(cache.invalidation_stats().trees_evicted, 1u);
-  const auto t3 = cache.tree(g, 0, ctx(1.0), {}, c);
+  const auto t3 = cache.tree(g, 0, ctx(1.0), nullptr, ws, c);
   EXPECT_EQ(c.cache_misses, 2u);
   EXPECT_NE(t1.get(), t3.get());
   EXPECT_EQ(t1->dist[3], 2.0);  // held entry stays valid after eviction
@@ -85,8 +86,9 @@ TEST(PathCache, DebitFlipSparesTreesOutsideTheFootprint) {
   const graph::Graph g = diamond();
   graph::PathCache cache;
   graph::PathQueryCounters c;
-  (void)cache.tree(g, 0, ctx(1.0), {}, c);  // parent edges {0, 1, 2}
-  (void)cache.tree(g, 2, ctx(1.0), {}, c);  // parent edges {0, 2, 3}
+  graph::SearchWorkspace ws;
+  (void)cache.tree(g, 0, ctx(1.0), nullptr, ws, c);  // parent edges {0, 1, 2}
+  (void)cache.tree(g, 2, ctx(1.0), nullptr, ws, c);  // parent edges {0, 2, 3}
   ASSERT_EQ(cache.num_trees(), 2u);
 
   // Edge 1 (1–3) flips unusable: only the tree from node 0 routes through
@@ -94,9 +96,9 @@ TEST(PathCache, DebitFlipSparesTreesOutsideTheFootprint) {
   cache.on_link_debit(1, 1.0, 0.0, kEps);
   EXPECT_EQ(cache.invalidation_stats().trees_evicted, 1u);
   EXPECT_EQ(cache.num_trees(), 1u);
-  (void)cache.tree(g, 2, ctx(1.0), {}, c);
+  (void)cache.tree(g, 2, ctx(1.0), nullptr, ws, c);
   EXPECT_EQ(c.cache_hits, 1u);
-  (void)cache.tree(g, 0, ctx(1.0), {}, c);
+  (void)cache.tree(g, 0, ctx(1.0), nullptr, ws, c);
   EXPECT_EQ(c.cache_misses, 3u);
 }
 
@@ -104,8 +106,9 @@ TEST(PathCache, ContextSeparatesEntriesAndFlipsAreRateScoped) {
   const graph::Graph g = diamond();
   graph::PathCache cache;
   graph::PathQueryCounters c;
-  (void)cache.tree(g, 0, ctx(1.0), {}, c);
-  (void)cache.tree(g, 0, ctx(2.0), {}, c);
+  graph::SearchWorkspace ws;
+  (void)cache.tree(g, 0, ctx(1.0), nullptr, ws, c);
+  (void)cache.tree(g, 0, ctx(2.0), nullptr, ws, c);
   EXPECT_EQ(c.cache_misses, 2u);  // different rates never share
   EXPECT_EQ(cache.num_trees(), 2u);
 
@@ -113,7 +116,7 @@ TEST(PathCache, ContextSeparatesEntriesAndFlipsAreRateScoped) {
   cache.on_link_debit(0, 2.5, 1.5, kEps);
   EXPECT_EQ(cache.invalidation_stats().flips, 1u);
   EXPECT_EQ(cache.num_trees(), 1u);
-  (void)cache.tree(g, 0, ctx(1.0), {}, c);
+  (void)cache.tree(g, 0, ctx(1.0), nullptr, ws, c);
   EXPECT_EQ(c.cache_hits, 1u);
 }
 
@@ -121,13 +124,15 @@ TEST(PathCache, KPathsCachedPerEndpointAndK) {
   const graph::Graph g = diamond();
   graph::PathCache cache;
   graph::PathQueryCounters c;
-  const auto p1 = cache.k_paths(g, 0, 3, 2, ctx(1.0), {}, c);
+  graph::SearchWorkspace ws;
+  const auto p1 = cache.k_paths(g, 0, 3, 2, ctx(1.0), nullptr, ws, c);
   ASSERT_EQ(p1->size(), 2u);
   EXPECT_EQ(c.yen_calls, 1u);
-  (void)cache.k_paths(g, 0, 3, 2, ctx(1.0), {}, c);
+  (void)cache.k_paths(g, 0, 3, 2, ctx(1.0), nullptr, ws, c);
   EXPECT_EQ(c.cache_hits, 1u);
   EXPECT_EQ(c.yen_calls, 1u);
-  (void)cache.k_paths(g, 0, 3, 3, ctx(1.0), {}, c);  // different k ⇒ miss
+  // Different k ⇒ miss.
+  (void)cache.k_paths(g, 0, 3, 3, ctx(1.0), nullptr, ws, c);
   EXPECT_EQ(c.yen_calls, 2u);
 }
 
@@ -135,7 +140,8 @@ TEST(PathCache, DebitFlipEvictsAllKPathListsAtThatRate) {
   const graph::Graph g = diamond();
   graph::PathCache cache;
   graph::PathQueryCounters c;
-  (void)cache.k_paths(g, 0, 3, 2, ctx(1.0), {}, c);
+  graph::SearchWorkspace ws;
+  (void)cache.k_paths(g, 0, 3, 2, ctx(1.0), nullptr, ws, c);
   // Yen entries are evicted wholesale on a flip even when their paths avoid
   // the edge: a vanished edge can unmask equal-cost candidates, so keeping
   // "non-intersecting" lists would not be bit-exact.
@@ -143,7 +149,7 @@ TEST(PathCache, DebitFlipEvictsAllKPathListsAtThatRate) {
   EXPECT_EQ(cache.invalidation_stats().yens_evicted, 1u);
   EXPECT_EQ(cache.num_k_paths(), 0u);
   // A non-flip debit, by contrast, spares them.
-  (void)cache.k_paths(g, 0, 3, 2, ctx(1.0), {}, c);
+  (void)cache.k_paths(g, 0, 3, 2, ctx(1.0), nullptr, ws, c);
   cache.on_link_debit(3, 10.0, 5.0, kEps);
   EXPECT_EQ(cache.num_k_paths(), 1u);
 }
@@ -152,8 +158,9 @@ TEST(PathCache, CreditFlipEvictsEverythingAtThatRate) {
   const graph::Graph g = diamond();
   graph::PathCache cache;
   graph::PathQueryCounters c;
-  (void)cache.tree(g, 0, ctx(1.0), {}, c);
-  (void)cache.k_paths(g, 0, 3, 2, ctx(1.0), {}, c);
+  graph::SearchWorkspace ws;
+  (void)cache.tree(g, 0, ctx(1.0), nullptr, ws, c);
+  (void)cache.k_paths(g, 0, 3, 2, ctx(1.0), nullptr, ws, c);
 
   // A credit that keeps the edge unusable flips nothing.
   cache.on_link_credit(0, 0.2, 0.6, kEps);
@@ -173,17 +180,18 @@ TEST(PathCache, EvictsEverythingWhenFull) {
   const graph::Graph g = diamond();
   graph::PathCache cache(/*max_entries=*/2);
   graph::PathQueryCounters c;
-  (void)cache.tree(g, 0, ctx(1.0), {}, c);
-  (void)cache.tree(g, 1, ctx(1.0), {}, c);
+  graph::SearchWorkspace ws;
+  (void)cache.tree(g, 0, ctx(1.0), nullptr, ws, c);
+  (void)cache.tree(g, 1, ctx(1.0), nullptr, ws, c);
   EXPECT_EQ(cache.num_trees(), 2u);
   // All entries are current under event invalidation, so a full store is
   // simply wiped to make room.
-  (void)cache.tree(g, 2, ctx(1.0), {}, c);
+  (void)cache.tree(g, 2, ctx(1.0), nullptr, ws, c);
   EXPECT_EQ(c.evictions, 2u);
   EXPECT_EQ(cache.num_trees(), 1u);
   // A held entry stays valid across eviction of its cache slot.
-  const auto held = cache.tree(g, 1, ctx(1.0), {}, c);
-  (void)cache.tree(g, 3, ctx(1.0), {}, c);
+  const auto held = cache.tree(g, 1, ctx(1.0), nullptr, ws, c);
+  (void)cache.tree(g, 3, ctx(1.0), nullptr, ws, c);
   EXPECT_EQ(c.evictions, 4u);
   EXPECT_EQ(held->source, 1u);
   EXPECT_EQ(held->dist[0], 1.0);
@@ -315,7 +323,9 @@ TEST_P(CorpusDifferential, CacheOnOffIdentical) {
 INSTANTIATE_TEST_SUITE_P(Instances, CorpusDifferential,
                          ::testing::Values("ring12", "leafspine14", "waxman20",
                                            "tightline5"),
-                         [](const auto& info) { return info.param; });
+                         [](const auto& param_info) {
+                           return param_info.param;
+                         });
 
 TEST(PathCacheDifferential, TwoHundredRandomInstances) {
   sim::ExperimentConfig cfg;
@@ -483,12 +493,6 @@ TEST(LedgerPathCache, CachingReducesDijkstraComputations) {
 // PathOracle-level batching: min_cost_paths == per-target queries, with one
 // dijkstra_call for the whole fan-out.
 
-/// Pins the process-wide search-tier switch for one test and restores it.
-struct FlagGuard {
-  bool saved = graph::flat_search_default();
-  ~FlagGuard() { graph::set_flat_search_default(saved); }
-};
-
 void expect_same_opt_path(const std::optional<graph::Path>& a,
                           const std::optional<graph::Path>& b) {
   ASSERT_EQ(a.has_value(), b.has_value());
@@ -496,8 +500,6 @@ void expect_same_opt_path(const std::optional<graph::Path>& a,
 }
 
 TEST(Batched, PathOracleMinCostPathsMatchesPerTarget) {
-  const FlagGuard guard;
-  graph::set_flat_search_default(true);
   auto fx = test::canonical_fixture();
   net::CapacityLedger ledger(fx->network);
   ledger.set_cache_enabled(false);

@@ -18,8 +18,8 @@
 
 #include "graph/dijkstra.hpp"
 #include "graph/generator.hpp"
-#include "graph/reference.hpp"
 #include "graph/workspace.hpp"
+#include "oracles/reference.hpp"
 
 namespace {
 /// Counts every path into the global allocator. The counter is only read

@@ -14,9 +14,9 @@
 
 #include "core/backtracking.hpp"
 #include "core/baselines.hpp"
-#include "core/exact.hpp"
 #include "core/trace.hpp"
 #include "net/io.hpp"
+#include "oracles/exact.hpp"
 #include "sfc/io.hpp"
 #include "sim/runner.hpp"
 #include "sim/scenario.hpp"

@@ -18,12 +18,12 @@
 
 #include "core/backtracking.hpp"
 #include "core/baselines.hpp"
-#include "core/exact.hpp"
 #include "core/layered.hpp"
 #include "core/validator.hpp"
 #include "graph/topologies.hpp"
 #include "graph/workspace.hpp"
 #include "net/network.hpp"
+#include "oracles/exact.hpp"
 #include "sfc/generator.hpp"
 #include "test_helpers.hpp"
 
